@@ -48,6 +48,19 @@ func runGen(args []string) error {
 	})
 }
 
+// runPrep is the prep child process: it writes one run's inputs (see
+// writePrepared).
+func runPrep(args []string) error {
+	fs := flag.NewFlagSet("prep", flag.ContinueOnError)
+	corpusDir := fs.String("corpus", "", "corpus directory written by gen")
+	seed := fs.Int64("seed", 1, "arrival-order seed")
+	out := fs.String("out", "", "output directory")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	return writePrepared(*corpusDir, *seed, *out)
+}
+
 func parseScale(s string) (exper.Scale, error) {
 	switch s {
 	case "bench":

@@ -9,8 +9,11 @@ import (
 	"kfusion/internal/httpapi"
 )
 
-// setupReps is how many times a pass sets a server up; set-up time is the
-// median, and the last server set up is the one measured.
+// setupReps is how many times the first pass of a run sets each server up
+// and recovers the crash image; later passes do each once. So a run has at
+// least three set-up and recovery samples to take the median of, even when
+// it has room for one or two passes only. The last server set up is the
+// one measured.
 const setupReps = 3
 
 // ingestOut is one ingest phase: kfserved popaccu on disk, fed the whole
@@ -27,10 +30,10 @@ type ingestOut struct {
 	recoverST *serverTrace // the first recovery's trace
 }
 
-func runIngest(tr *tracer, in *inputs, dir string, chk *checker) (*ingestOut, error) {
+func runIngest(tr *tracer, in *inputs, dir string, reps int, chk *checker) (*ingestOut, error) {
 	out := &ingestOut{}
 	var ls *liveServer
-	for r := 0; r < setupReps; r++ {
+	for r := 0; r < reps; r++ {
 		if ls != nil {
 			if err := ls.close(); err != nil {
 				return nil, err
@@ -89,12 +92,17 @@ func runIngest(tr *tracer, in *inputs, dir string, chk *checker) (*ingestOut, er
 
 	// Crash images: copies of the live state directory, never closed.
 	// Each is recovered by a fresh server and must serve the same bits.
-	for r := 0; r < setupReps; r++ {
+	// Only the first recovery is traced.
+	for r := 0; r < reps; r++ {
 		img := filepath.Join(dir, fmt.Sprintf("crash-%d", r))
 		if err := copyDir(ls.dir, img); err != nil {
 			return nil, err
 		}
-		rec, took, err := openServer(tr, img, "popaccu", "phase.recover")
+		rtr := tr
+		if r > 0 {
+			rtr = nil
+		}
+		rec, took, err := openServer(rtr, img, "popaccu", "phase.recover")
 		chk.attempt(err)
 		if err != nil {
 			return nil, err

@@ -8,10 +8,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"kfusion/internal/eval"
 	"kfusion/internal/extract"
@@ -22,8 +25,11 @@ import (
 )
 
 const (
-	feedFile = "feed.jsonl"
-	goldFile = "gold.jsonl"
+	feedFile   = "feed.jsonl"
+	goldFile   = "gold.jsonl"
+	bodiesFile = "bodies.bin"
+	itemsFile  = "items.txt"
+	layoutFile = "layout.json"
 	// appendBatches is how many append batches the feed is cut into: on
 	// the large feed ≈2000 extractions each, and enough samples that p90
 	// has at least ten beyond it.
@@ -72,9 +78,7 @@ func corpus(scale string) (string, error) {
 		return "", err
 	}
 	defer os.RemoveAll(tmp)
-	gen := exec.Command(self, "gen", "-scale", scale, "-out", tmp)
-	gen.Stdout, gen.Stderr = os.Stderr, os.Stderr
-	if err := gen.Run(); err != nil {
+	if err := child(self, "gen", "-scale", scale, "-out", tmp); err != nil {
 		return "", fmt.Errorf("generate corpus: %w", err)
 	}
 	if err := os.Rename(tmp, dir); err != nil {
@@ -85,42 +89,95 @@ func corpus(scale string) (string, error) {
 	return dir, nil
 }
 
-func loadInputs(dir string, seed int64) (*inputs, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, feedFile))
+// prepare writes the run's inputs for seed into out, in a child process,
+// so the measuring process never holds the decoded corpus: it only reads
+// back the bytes it sends.
+func prepare(corpusDir string, seed int64, out string) error {
+	self, err := os.Executable()
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if err := child(self, "prep", "-corpus", corpusDir, "-seed", strconv.FormatInt(seed, 10), "-out", out); err != nil {
+		return fmt.Errorf("prepare inputs: %w", err)
+	}
+	return nil
+}
+
+// child runs the benchmark binary in one of its child modes and waits for
+// it to end.
+func child(self string, args ...string) error {
+	cmd := exec.Command(self, args...)
+	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
+	return cmd.Run()
+}
+
+// layout describes the bodies file: the byte length and extraction count
+// of each append body, in the order ingest, base, mixed.
+type layout struct {
+	BatchSize int
+	Ingest    []bodyLen
+	Base      bodyLen
+	Mixed     []bodyLen
+}
+
+type bodyLen struct{ Bytes, N int }
+
+// writePrepared is the prep child's work: it decodes the corpus, puts it
+// in the seed's arrival order and writes the feed, the append bodies and
+// the read paths to out.
+func writePrepared(corpusDir string, seed int64, out string) error {
+	raw, err := os.ReadFile(filepath.Join(corpusDir, feedFile))
+	if err != nil {
+		return err
 	}
 	xs, err := kfio.ReadExtractions(bytes.NewReader(raw))
 	if err != nil {
-		return nil, fmt.Errorf("decode corpus: %w", err)
+		return fmt.Errorf("decode corpus: %w", err)
 	}
 	xs = shuffleByPage(xs, seed)
-	var feed bytes.Buffer
-	if err := kfio.WriteExtractions(&feed, xs); err != nil {
-		return nil, err
+	if err := writeFile(filepath.Join(out, feedFile), func(w *bufio.Writer) error {
+		return kfio.WriteExtractions(w, xs)
+	}); err != nil {
+		return err
 	}
-	sum := sha256.Sum256(feed.Bytes())
-	in := &inputs{feed: feed.Bytes(), digest: hex.EncodeToString(sum[:8]), n: len(xs)}
-	in.batchSize = (len(xs) + appendBatches - 1) / appendBatches
-	if in.ingest, err = encodeBatches(xs, in.batchSize); err != nil {
-		return nil, err
-	}
+	lay := layout{BatchSize: (len(xs) + appendBatches - 1) / appendBatches}
 	half := len(xs) / 2
-	base, err := encodeBatches(xs[:half], half)
+	if err := writeFile(filepath.Join(out, bodiesFile), func(w *bufio.Writer) error {
+		var err error
+		if lay.Ingest, err = encodeBatches(w, xs, lay.BatchSize); err != nil {
+			return err
+		}
+		base, err := encodeBatches(w, xs[:half], half)
+		if err != nil {
+			return err
+		}
+		lay.Base = base[0]
+		lay.Mixed, err = encodeBatches(w, xs[half:], lay.BatchSize)
+		return err
+	}); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(out, itemsFile), func(w *bufio.Writer) error {
+		for _, p := range itemPaths(xs[:half], seed) {
+			if _, err := fmt.Fprintln(w, p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	data, err := json.Marshal(&lay)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	in.base = base[0]
-	if in.mixed, err = encodeBatches(xs[half:], in.batchSize); err != nil {
-		return nil, err
-	}
-	in.items = itemPaths(xs[:half], seed)
-	in.gold, err = loadGold(filepath.Join(dir, goldFile))
-	return in, err
+	return os.WriteFile(filepath.Join(out, layoutFile), data, 0o644)
 }
 
-func encodeBatches(xs []extract.Extraction, size int) ([]body, error) {
-	var out []body
+// encodeBatches writes xs as append bodies of size extractions each and
+// returns their lengths.
+func encodeBatches(w io.Writer, xs []extract.Extraction, size int) ([]bodyLen, error) {
+	var out []bodyLen
 	for lo := 0; lo < len(xs); lo += size {
 		hi := min(lo+size, len(xs))
 		req := httpapi.AppendRequest{Extractions: make([]httpapi.Extraction, 0, hi-lo)}
@@ -131,9 +188,64 @@ func encodeBatches(xs []extract.Extraction, size int) ([]body, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, body{json: data, n: hi - lo})
+		if _, err := w.Write(data); err != nil {
+			return nil, err
+		}
+		out = append(out, bodyLen{Bytes: len(data), N: hi - lo})
 	}
 	return out, nil
+}
+
+// loadInputs reads the prepared inputs back as the bytes a pass sends,
+// and the gold labels.
+func loadInputs(corpusDir, prepDir string) (*inputs, error) {
+	var lay layout
+	data, err := os.ReadFile(filepath.Join(prepDir, layoutFile))
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(data, &lay); err != nil {
+		return nil, fmt.Errorf("%s: %w", layoutFile, err)
+	}
+	in := &inputs{batchSize: lay.BatchSize}
+	if in.feed, err = os.ReadFile(filepath.Join(prepDir, feedFile)); err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(in.feed)
+	in.digest = hex.EncodeToString(sum[:8])
+
+	all, err := os.ReadFile(filepath.Join(prepDir, bodiesFile))
+	if err != nil {
+		return nil, err
+	}
+	cut := func(l bodyLen) body {
+		b := body{json: all[:l.Bytes:l.Bytes], n: l.N}
+		all = all[l.Bytes:]
+		return b
+	}
+	total := 0
+	for _, l := range append(append([]bodyLen{lay.Base}, lay.Ingest...), lay.Mixed...) {
+		total += l.Bytes
+	}
+	if total != len(all) {
+		return nil, fmt.Errorf("%s holds %d bytes, %s lists %d", bodiesFile, len(all), layoutFile, total)
+	}
+	for _, l := range lay.Ingest {
+		in.ingest = append(in.ingest, cut(l))
+		in.n += l.N
+	}
+	in.base = cut(lay.Base)
+	for _, l := range lay.Mixed {
+		in.mixed = append(in.mixed, cut(l))
+	}
+
+	items, err := os.ReadFile(filepath.Join(prepDir, itemsFile))
+	if err != nil {
+		return nil, err
+	}
+	in.items = strings.Fields(string(items))
+	in.gold, err = loadGold(filepath.Join(corpusDir, goldFile))
+	return in, err
 }
 
 // shuffleByPage is the seeded arrival order of the corpus: extractions of

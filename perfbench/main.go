@@ -35,12 +35,14 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "gen" {
-		if err := runGen(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench gen:", err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		if mode, ok := map[string]func([]string) error{"gen": runGen, "prep": runPrep}[os.Args[1]]; ok {
+			if err := mode(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "perfbench %s: %v\n", os.Args[1], err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
 	}
 	workload := flag.String("workload", "large", "large | bench: the corpus scale")
 	seed := flag.Int64("seed", 1, "input seed")
@@ -121,12 +123,24 @@ func measure(work, scale string, seed int64, seconds int, trace bool) (*result, 
 	if err != nil {
 		return nil, err
 	}
-	in, err := loadInputs(dir, seed)
+	prep := filepath.Join(work, "inputs")
+	if err := os.MkdirAll(prep, 0o755); err != nil {
+		return nil, err
+	}
+	if err := prepare(dir, seed, prep); err != nil {
+		return nil, err
+	}
+	in, err := loadInputs(dir, prep)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "perfbench: scale %s seed %d: %d extractions, %d feed bytes, feed sha256 %s, %d append batches of %d\n",
-		scale, seed, in.n, len(in.feed), in.digest, len(in.ingest), in.batchSize)
+	runtime.GC()
+	inputsMB, err := procStatusMB("VmRSS")
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "perfbench: scale %s seed %d: %d extractions, %d feed bytes, feed sha256 %s, %d append batches of %d; inputs resident %.1f MB\n",
+		scale, seed, in.n, len(in.feed), in.digest, len(in.ingest), in.batchSize, inputsMB)
 
 	chk := &checker{}
 	var metrics map[string]metric
@@ -134,19 +148,22 @@ func measure(work, scale string, seed int64, seconds int, trace bool) (*result, 
 		metrics, err = tracedRun(work, in, seed, seconds, chk)
 	} else {
 		var passes []*pass
-		if passes, err = runPasses(nil, in, work, "pass", seconds, 0, chk); err == nil {
-			metrics, err = endToEnd(calmPasses(passes), in)
+		if passes, err = runPasses(nil, in, work, "pass", seconds, minPasses, 0, chk); err == nil {
+			used := calmPasses(passes)
+			fmt.Fprintf(os.Stderr, "perfbench: %d of %d passes used\n", len(used), len(passes))
+			metrics, err = endToEnd(used, in)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	rss, err := peakRSSMB()
+	peak, err := procStatusMB("VmHWM")
 	if err != nil {
 		return nil, err
 	}
+	fmt.Fprintf(os.Stderr, "perfbench: peak resident %.1f MB, of which %.1f MB the inputs held before the first pass\n", peak, inputsMB)
 	if !trace {
-		metrics["peak_rss_mb"] = metric{rss, "MB"}
+		metrics["peak_rss_mb"] = metric{peak - inputsMB, "MB"}
 	}
 	for _, f := range chk.failures {
 		fmt.Fprintln(os.Stderr, "perfbench: FAILED:", f)
@@ -171,11 +188,18 @@ type pass struct {
 // burst moved with it.
 const calmSteal = 0.08
 
+// minPasses is the fewest passes an untraced run makes. A pass on large
+// outlasts --seconds, so with one pass a run would see a single stretch of
+// host time and 108 append latencies; with two it pools 216 and the
+// calm-pass filter has a choice. The traced run makes one, to stay within
+// its time limit.
+const minPasses = 2
+
 // runPasses runs count passes, or with count 0 keeps starting passes until
-// seconds have gone by (at least one). While no pass has been calm it keeps
-// going for up to twice as long, never starting a pass that would run past
-// that.
-func runPasses(tr *tracer, in *inputs, work, prefix string, seconds, count int, chk *checker) ([]*pass, error) {
+// seconds have gone by and at least least passes have run. While no pass
+// has been calm it keeps going for up to twice as long, never starting a
+// pass that would run past that.
+func runPasses(tr *tracer, in *inputs, work, prefix string, seconds, least, count int, chk *checker) ([]*pass, error) {
 	var out []*pass
 	start := time.Now()
 	budget := time.Duration(seconds) * time.Second
@@ -185,11 +209,15 @@ func runPasses(tr *tracer, in *inputs, work, prefix string, seconds, count int, 
 		if count > 0 && i == count {
 			break
 		}
-		if el := time.Since(start); count == 0 && i > 0 && el >= budget && (calm || el+last > 2*budget) {
+		if el := time.Since(start); count == 0 && i >= max(least, 1) && el >= budget && (calm || el+last > 2*budget) {
 			break
 		}
 		t0, st0 := time.Now(), readSteal()
-		p, err := runPass(tr, in, filepath.Join(work, fmt.Sprintf("%s-%d", prefix, i)), chk)
+		reps := 1
+		if i == 0 {
+			reps = setupReps
+		}
+		p, err := runPass(tr, in, filepath.Join(work, fmt.Sprintf("%s-%d", prefix, i)), reps, chk)
 		if err != nil {
 			return nil, err
 		}
@@ -217,7 +245,7 @@ func calmPasses(ps []*pass) []*pass {
 	return out
 }
 
-func runPass(tr *tracer, in *inputs, dir string, chk *checker) (*pass, error) {
+func runPass(tr *tracer, in *inputs, dir string, reps int, chk *checker) (*pass, error) {
 	p := &pass{}
 	runtime.GC()
 	b, err := runBatch(tr, in.feed, in.batchSize)
@@ -231,7 +259,7 @@ func runPass(tr *tracer, in *inputs, dir string, chk *checker) (*pass, error) {
 	p.batch = b
 
 	runtime.GC()
-	ing, err := runIngest(tr, in, filepath.Join(dir, "ingest"), chk)
+	ing, err := runIngest(tr, in, filepath.Join(dir, "ingest"), reps, chk)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +268,7 @@ func runPass(tr *tracer, in *inputs, dir string, chk *checker) (*pass, error) {
 	p.ingest = ing
 
 	runtime.GC()
-	mix, err := runMixed(tr, in, filepath.Join(dir, "mixed"), chk)
+	mix, err := runMixed(tr, in, filepath.Join(dir, "mixed"), reps, chk)
 	if err != nil {
 		return nil, err
 	}
@@ -298,55 +326,70 @@ func endToEnd(passes []*pass, in *inputs) (map[string]metric, error) {
 		}
 		m[q.name] = metric{v, "ms"}
 	}
-	fmt.Fprintf(os.Stderr, "perfbench: %d passes used; samples: %d ingest appends, %d serve-mixed appends, %d reads\n",
-		len(passes), len(appendMs), len(mixAppendMs), len(readMs))
+	fmt.Fprintf(os.Stderr, "perfbench: samples: %d ingest appends, %d serve-mixed appends, %d reads\n",
+		len(appendMs), len(mixAppendMs), len(readMs))
 	return m, nil
 }
 
-// peakRSSMB reads the process's peak resident set (VmHWM), in MiB.
-func peakRSSMB() (float64, error) {
+// procStatusMB reads one memory field of /proc/self/status (VmRSS, the
+// resident set now, or VmHWM, its peak), in MiB.
+func procStatusMB(field string) (float64, error) {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return 0, err
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+		if rest, ok := strings.CutPrefix(line, field+":"); ok {
 			var kb float64
 			if _, err := fmt.Sscanf(strings.TrimSpace(rest), "%f kB", &kb); err != nil {
-				return 0, fmt.Errorf("parse VmHWM %q: %w", rest, err)
+				return 0, fmt.Errorf("parse %s %q: %w", field, rest, err)
 			}
 			return kb / 1024, nil
 		}
 	}
-	return 0, fmt.Errorf("no VmHWM in /proc/self/status")
+	return 0, fmt.Errorf("no %s in /proc/self/status", field)
 }
 
 // cpuTicks is the machine-wide CPU time stolen by the hypervisor and the
-// total, from the first line of /proc/stat.
+// total, from the first line of /proc/stat. The total leaves out guest and
+// guest_nice, which the kernel already counts in user and nice.
 type cpuTicks struct{ steal, total float64 }
 
 func readSteal() cpuTicks {
-	var t cpuTicks
 	data, err := os.ReadFile("/proc/stat")
 	if err != nil {
-		return t
+		return cpuTicks{}
 	}
 	line, _, _ := strings.Cut(string(data), "\n")
+	return parseCPULine(line)
+}
+
+func parseCPULine(line string) cpuTicks {
+	var t cpuTicks
+	// user nice system idle iowait irq softirq steal guest guest_nice
 	for i, f := range strings.Fields(line)[1:] {
+		if i > 7 {
+			break
+		}
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
 			return cpuTicks{}
 		}
 		t.total += v
-		if i == 7 { // user nice system idle iowait irq softirq steal
+		if i == 7 {
 			t.steal = v
 		}
 	}
 	return t
 }
 
-// stealShare is the share of CPU time the hypervisor stole between two
-// readings.
+// stealShare is the share of the machine's CPU time the hypervisor stole
+// between two readings. It is taken over all CPU time, idle included,
+// rather than over busy time: on the reference VM the host records steal
+// on idle vCPUs too, so steal over busy time read 0.5-0.67 with the VM idle
+// and 0.005-0.09 with one or two CPUs spinning, which would make the figure
+// follow the program's own CPU use, while steal over all time read
+// 0.005-0.045 at every load.
 func stealShare(a, b cpuTicks) float64 {
 	if b.total <= a.total {
 		return 0

@@ -24,10 +24,10 @@ type mixedOut struct {
 	digest   string
 }
 
-func runMixed(tr *tracer, in *inputs, dir string, chk *checker) (*mixedOut, error) {
+func runMixed(tr *tracer, in *inputs, dir string, reps int, chk *checker) (*mixedOut, error) {
 	out := &mixedOut{}
 	var ls *liveServer
-	for r := 0; r < setupReps; r++ {
+	for r := 0; r < reps; r++ {
 		if ls != nil {
 			if err := ls.close(); err != nil {
 				return nil, err

@@ -63,6 +63,20 @@ func TestCalmPassesDropsStolenPasses(t *testing.T) {
 	}
 }
 
+func TestStealShareLeavesOutGuestTime(t *testing.T) {
+	// user nice system idle iowait irq softirq steal guest guest_nice:
+	// between the two readings 100 ticks went by, 10 of them stolen; the
+	// 20 guest ticks are already inside user.
+	a := parseCPULine("cpu  100 0 50 1000 10 0 0 5 40 0")
+	b := parseCPULine("cpu  120 0 60 1050 20 0 0 15 60 0")
+	if got := stealShare(a, b); got != 0.1 {
+		t.Errorf("stealShare = %g, want 10 stolen of 100 ticks = 0.1", got)
+	}
+	if got := stealShare(b, b); got != 0 {
+		t.Errorf("stealShare over no time = %g, want 0", got)
+	}
+}
+
 func TestSelfTimesNestedAndOverlapping(t *testing.T) {
 	spans := []span{
 		{ID: 1, Name: "root", Start: 0, End: 100},
@@ -312,9 +326,21 @@ func TestMetricNames(t *testing.T) {
 	if err := runGen([]string{"-scale", "bench", "-out", dir}); err != nil {
 		t.Fatal(err)
 	}
-	in, err := loadInputs(dir, 7)
+	prep := t.TempDir()
+	if err := writePrepared(dir, 7, prep); err != nil {
+		t.Fatal(err)
+	}
+	in, err := loadInputs(dir, prep)
 	if err != nil {
 		t.Fatal(err)
+	}
+	mixedN := in.base.n
+	for _, b := range in.mixed {
+		mixedN += b.n
+	}
+	if len(in.ingest) != appendBatches || mixedN != in.n || len(in.items) == 0 {
+		t.Fatalf("prepared inputs: %d ingest bodies of %d extractions, serve-mixed sends %d, %d items",
+			len(in.ingest), in.n, mixedN, len(in.items))
 	}
 	wd, _ := os.Getwd()
 	if err := os.Chdir(t.TempDir()); err != nil { // trace output lands here
@@ -322,7 +348,7 @@ func TestMetricNames(t *testing.T) {
 	}
 	defer os.Chdir(wd)
 	chk := &checker{}
-	passes, err := runPasses(nil, in, t.TempDir(), "pass", 0, 2, chk)
+	passes, err := runPasses(nil, in, t.TempDir(), "pass", 0, 0, 2, chk)
 	if err != nil {
 		t.Fatal(err)
 	}

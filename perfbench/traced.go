@@ -67,13 +67,13 @@ var roots = []string{"phase.batch", "phase.ingest", "phase.mixed", "phase.recove
 // pass, percentiles over every pass's samples. Spans and a per-phase
 // self-time summary are written under .bench_build/trace.
 func tracedRun(work string, in *inputs, seed int64, seconds int, chk *checker) (map[string]metric, error) {
-	plain, err := runPasses(nil, in, work, "plain", seconds, 0, chk)
+	plain, err := runPasses(nil, in, work, "plain", seconds, 1, 0, chk)
 	if err != nil {
 		return nil, err
 	}
 	tr := newTracer()
 	rt0 := readRuntime()
-	traced, err := runPasses(tr, in, work, "traced", 0, len(plain), chk)
+	traced, err := runPasses(tr, in, work, "traced", 0, 0, len(plain), chk)
 	if err != nil {
 		return nil, err
 	}
