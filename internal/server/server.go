@@ -21,9 +21,15 @@
 // applies it (incremental graph Append + warm EM), then publishes the new
 // view with a single pointer swap — a reader holds whichever generation it
 // loaded for its whole request, and two reads inside one request never mix
-// generations. Appends are single-writer: a second concurrent append is
-// rejected with the busy error rather than queued, so the caller owns retry
-// policy and the handler never blocks the drain path.
+// generations. Publishing costs O(batch) hashing plus pointer-free O(total)
+// array passes: the new view's read indexes extend the previous view's over
+// the appended rows only, into new int32 arrays, never writing into the
+// previous view's, so an older view a reader still holds never sees a later
+// write.
+//
+// Appends are single-writer: a second concurrent append is rejected with the
+// busy error rather than queued, so the caller owns retry policy and the
+// handler never blocks the drain path.
 package server
 
 import (
@@ -181,11 +187,14 @@ func (s *Server) Hydrate() error {
 		return fmt.Errorf("server: already hydrated")
 	}
 	s.store, s.st = store, st
+	// Publish before releasing the writer slot, so an append cannot publish
+	// a later generation that this store would then overwrite.
+	v := newGenView(nil, st)
+	s.current.Store(v)
 	s.mu.Unlock()
 
-	s.current.Store(newGenView(st))
 	s.logf("hydrated generation %d (%d extractions consumed, %d fused triples)",
-		st.Batches, st.Consumed, len(newGenView(st).triples()))
+		v.generation, v.consumed, len(v.triples()))
 	return nil
 }
 
@@ -217,7 +226,7 @@ func (s *Server) Append(batch []extract.Extraction) (*httpapi.AppendResponse, er
 			s.sinceSnap = 0
 		}
 	}
-	v := newGenView(s.st)
+	v := newGenView(s.current.Load(), s.st)
 	s.current.Store(v)
 	return &httpapi.AppendResponse{
 		Generation: v.generation,
